@@ -1,8 +1,8 @@
 //! Microbenchmarks of the substrate crates: cache arrays, Bloom filters,
-//! mesh routing, DRAM timing, the waste profiler, Flex planning, and the
-//! workload generators.
+//! mesh routing, DRAM timing, the waste profiler, Flex planning, the
+//! workload generators, and the DNVT trace codec.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 use tw_bloom::{BloomBank, BloomConfig};
 use tw_dram::MemoryController;
@@ -10,8 +10,9 @@ use tw_mem::{CacheArray, CacheGeometry};
 use tw_noc::{Mesh, PacketSize, WormholeMesh};
 use tw_profiler::{CacheLevel, CacheWasteProfiler};
 use tw_protocols::flex_fetch_plan;
+use tw_trace::TraceDocument;
 use tw_types::{Addr, DramConfig, LineAddr, MessageClass, NocConfig, SystemConfig, TileId};
-use tw_workloads::{build_tiny, BenchmarkKind};
+use tw_workloads::{build_scaled, build_tiny, BenchmarkKind};
 
 fn bench_cache_array(c: &mut Criterion) {
     c.bench_function("cache_array_insert_lookup", |b| {
@@ -143,10 +144,32 @@ fn bench_workload_generation(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_trace_codec(c: &mut Criterion) {
+    // The three codec paths a warm plan compile pays per workload, over the
+    // Scaled FFT streams (~3.7 MB of DNVT).
+    let workload = build_scaled(BenchmarkKind::Fft, 16).unwrap();
+    let doc = workload.to_trace();
+    let bytes = doc.to_binary_bytes().unwrap();
+    let mut group = c.benchmark_group("trace_codec");
+    group
+        .sample_size(10)
+        .throughput(Throughput::Bytes(bytes.len() as u64));
+    group.bench_function("encode_scaled_fft", |b| {
+        b.iter(|| black_box(doc.to_binary_bytes().unwrap().len()))
+    });
+    group.bench_function("digest_scaled_fft", |b| {
+        b.iter(|| black_box(workload.content_digest().unwrap()))
+    });
+    group.bench_function("decode_scaled_fft", |b| {
+        b.iter(|| black_box(TraceDocument::from_bytes(&bytes).unwrap().cores()))
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = substrates;
     config = Criterion::default().sample_size(20);
     targets = bench_cache_array, bench_bloom, bench_mesh, bench_flit_mesh, bench_dram, bench_profiler,
-              bench_flex_planning, bench_workload_generation
+              bench_flex_planning, bench_workload_generation, bench_trace_codec
 }
 criterion_main!(substrates);

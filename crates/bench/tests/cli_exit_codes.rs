@@ -155,3 +155,52 @@ fn profile_separates_check_failure_from_bad_request() {
     assert!(stderr.contains("truncated"), "names the failure: {stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn meshes_the_workloads_or_the_directory_cannot_take_exit_two() {
+    let dir = scratch("mesh");
+    let spec = |bench, cols, rows| {
+        let mut spec = denovo_waste::ExperimentSpec::subset(
+            vec![tw_types::ProtocolKind::Mesi],
+            vec![bench],
+            denovo_waste::ScaleProfile::Tiny,
+        );
+        spec.variants = vec![denovo_waste::SystemVariant::mesh(
+            format!("{cols}x{rows}"),
+            cols,
+            rows,
+        )];
+        spec.to_json()
+    };
+    // 24 cores: within the directory's reach but not a split of FFT's
+    // points. The generator names the problem instead of panicking.
+    std::fs::write(
+        dir.join("fft-6x4.json"),
+        spec(tw_workloads::BenchmarkKind::Fft, 6, 4),
+    )
+    .unwrap();
+    // 72 and 128 cores: sharer sets cover only 64 cores, so the system is
+    // refused before any workload is built (a 9x8 FFT once panicked with
+    // exit 101; a 16x8 LU once ran and printed figures).
+    std::fs::write(
+        dir.join("fft-9x8.json"),
+        spec(tw_workloads::BenchmarkKind::Fft, 9, 8),
+    )
+    .unwrap();
+    std::fs::write(
+        dir.join("lu-16x8.json"),
+        spec(tw_workloads::BenchmarkKind::Lu, 16, 8),
+    )
+    .unwrap();
+    for (file, named) in [
+        ("fft-6x4.json", "do not divide evenly among 24 cores"),
+        ("fft-9x8.json", "64-tile limit"),
+        ("lu-16x8.json", "64-tile limit"),
+    ] {
+        let (code, stdout, stderr) = run_in(&dir, &["plan", "run", file]);
+        assert_eq!(code, 2, "{file} must exit 2; stderr:\n{stderr}");
+        assert!(stderr.contains(named), "{file} names its error: {stderr}");
+        assert!(stdout.is_empty(), "{file} prints no figures: {stdout}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

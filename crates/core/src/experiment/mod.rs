@@ -93,24 +93,29 @@ impl ScaleProfile {
     /// Builds the workload for one benchmark at this scale. The trace-only
     /// kinds (`Custom`, `Synthesized`) have no fixed-input generator and are
     /// reported as an error — feed those through a plan's `provided`
-    /// workloads (or the [`ExperimentMatrix::run_on`] facade) instead.
+    /// workloads (or the [`ExperimentMatrix::run_on`] facade) instead. So is
+    /// a core count the benchmark's input cannot be split over.
     pub fn try_workload(self, bench: BenchmarkKind, cores: usize) -> Result<Workload, String> {
         match self {
-            ScaleProfile::Paper => Ok(match bench {
+            ScaleProfile::Paper => match bench {
                 BenchmarkKind::Fluidanimate => {
-                    tw_workloads::fluidanimate::FluidanimateConfig::paper().build(cores)
+                    tw_workloads::fluidanimate::FluidanimateConfig::paper().try_build(cores)
                 }
-                BenchmarkKind::Lu => tw_workloads::lu::LuConfig::paper().build(cores),
-                BenchmarkKind::Fft => tw_workloads::fft::FftConfig::paper().build(cores),
-                BenchmarkKind::Radix => tw_workloads::radix::RadixConfig::paper().build(cores),
-                BenchmarkKind::Barnes => tw_workloads::barnes::BarnesConfig::paper().build(cores),
-                BenchmarkKind::KdTree => tw_workloads::kdtree::KdTreeConfig::paper().build(cores),
+                BenchmarkKind::Lu => tw_workloads::lu::LuConfig::paper().try_build(cores),
+                BenchmarkKind::Fft => tw_workloads::fft::FftConfig::paper().try_build(cores),
+                BenchmarkKind::Radix => tw_workloads::radix::RadixConfig::paper().try_build(cores),
+                BenchmarkKind::Barnes => {
+                    tw_workloads::barnes::BarnesConfig::paper().try_build(cores)
+                }
+                BenchmarkKind::KdTree => {
+                    tw_workloads::kdtree::KdTreeConfig::paper().try_build(cores)
+                }
                 BenchmarkKind::Custom | BenchmarkKind::Synthesized => {
                     // Route through the scaled builder purely for its error
                     // message, which names the replacement workflow.
-                    return build_scaled(bench, cores);
+                    build_scaled(bench, cores)
                 }
-            }),
+            },
             ScaleProfile::Scaled => build_scaled(bench, cores),
             ScaleProfile::Tiny => build_tiny(bench, cores),
         }

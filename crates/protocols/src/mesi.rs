@@ -54,7 +54,8 @@ impl fmt::Display for MesiState {
     }
 }
 
-/// A compact sharer bit-set for up to 64 cores.
+/// A compact sharer bit-set for up to 64 cores ([`tw_types::MAX_TILES`]:
+/// `SystemConfig::validate` refuses larger meshes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
 pub struct SharerSet(u64);
 

@@ -46,7 +46,7 @@ pub mod diff;
 pub mod text;
 pub mod varint;
 
-pub use binary::{TraceReader, TraceWriter, BINARY_MAGIC, FORMAT_VERSION};
+pub use binary::{digest_encoding, TraceReader, TraceWriter, BINARY_MAGIC, FORMAT_VERSION};
 pub use diff::{diff, TraceDivergence};
 
 use std::fmt;
@@ -139,38 +139,32 @@ impl TraceDocument {
     }
 
     /// Parses the binary format.
+    ///
+    /// This is the streaming path for `Read` sources; bytes already in
+    /// memory decode faster through [`TraceDocument::from_bytes`].
     pub fn read_binary<R: io::Read>(r: R) -> Result<Self, TraceError> {
-        let mut reader = TraceReader::new(r)?;
-        let mut streams = Vec::with_capacity(reader.cores());
-        while let Some(stream) = reader.next_stream()? {
-            streams.push(stream);
-        }
-        reader.expect_eof()?;
-        Ok(TraceDocument {
-            benchmark: reader.benchmark().to_string(),
-            input: reader.input().to_string(),
-            regions: reader.take_regions(),
-            streams,
-        })
+        binary::read_document(r)
     }
 
-    /// The binary encoding as a byte vector.
+    /// The binary encoding as a byte vector, encoded straight into it.
     pub fn to_binary_bytes(&self) -> Result<Vec<u8>, TraceError> {
-        let mut buf = Vec::new();
-        self.write_binary(&mut buf)?;
-        Ok(buf)
+        Ok(binary::encode_document(self))
     }
 
     /// The canonical content digest of this trace: the digest of its binary
-    /// encoding, streamed without materializing the bytes. Two documents
-    /// share a digest exactly when their binary encodings are identical,
-    /// which (by the round-trip property) means they are structurally equal
-    /// — this is the workload identity the experiment layer's cell identity
-    /// and result-cache keys are built from.
+    /// encoding, folded in as it is encoded without materializing the bytes
+    /// (see [`digest_encoding`]). Two documents share a digest exactly when
+    /// their binary encodings are identical, which (by the round-trip
+    /// property) means they are structurally equal — this is the workload
+    /// identity the experiment layer's cell identity and result-cache keys
+    /// are built from.
     pub fn digest(&self) -> Result<tw_types::Digest, TraceError> {
-        let mut w = tw_types::DigestWriter::new();
-        self.write_binary(&mut w)?;
-        Ok(w.finish())
+        Ok(digest_encoding(
+            &self.benchmark,
+            &self.input,
+            &self.regions,
+            &self.streams,
+        ))
     }
 
     /// The text encoding as a string.
@@ -184,9 +178,10 @@ impl TraceDocument {
     }
 
     /// Parses a trace in either encoding, detected by the leading magic.
+    /// Binary input is decoded straight from the slice.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, TraceError> {
         if bytes.starts_with(BINARY_MAGIC) {
-            TraceDocument::read_binary(bytes)
+            binary::decode_document(bytes)
         } else {
             let s = std::str::from_utf8(bytes).map_err(|_| {
                 TraceError::Malformed("neither the binary magic nor valid UTF-8 text".to_string())
@@ -200,8 +195,8 @@ impl TraceDocument {
         if as_text {
             std::fs::write(path, self.to_text())?;
         } else {
-            let file = std::fs::File::create(path)?;
-            self.write_binary(io::BufWriter::new(file))?;
+            // The writer hands the file whole chunks; no `BufWriter` needed.
+            self.write_binary(std::fs::File::create(path)?)?;
         }
         Ok(())
     }

@@ -4,48 +4,86 @@
 //! varints; address deltas are zigzag-mapped first so that the small
 //! positive *and* negative strides of real reference streams both encode in
 //! one or two bytes.
+//!
+//! Both directions work on in-memory bytes rather than on `io` traits: the
+//! encoder appends to a [`ByteSink`] and the decoder pulls from a byte
+//! source, so a varint costs a few instructions, not one I/O call per byte.
 
 use crate::TraceError;
-use std::io::{Read, Write};
+use tw_types::Digester;
 
 /// Maximum encoded length of a `u64` varint (10 × 7 bits ≥ 64 bits).
 pub const MAX_VARINT_BYTES: usize = 10;
 
-/// Writes `v` as a LEB128 varint, returning the encoded length.
-pub fn write_u64<W: Write>(w: &mut W, mut v: u64) -> std::io::Result<usize> {
-    let mut n = 0;
-    loop {
-        n += 1;
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            w.write_all(&[byte])?;
-            return Ok(n);
-        }
-        w.write_all(&[byte | 0x80])?;
+/// Where the encoder appends bytes: a buffer, or a digester that folds
+/// each byte in as it is produced.
+pub trait ByteSink {
+    /// Appends one byte.
+    fn put(&mut self, byte: u8);
+
+    /// Appends a run of bytes.
+    fn put_slice(&mut self, bytes: &[u8]);
+}
+
+impl ByteSink for Vec<u8> {
+    #[inline]
+    fn put(&mut self, byte: u8) {
+        self.push(byte);
+    }
+
+    fn put_slice(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
     }
 }
 
-/// Reads one LEB128 varint.
-pub fn read_u64<R: Read>(r: &mut R) -> Result<u64, TraceError> {
+impl ByteSink for Digester {
+    #[inline]
+    fn put(&mut self, byte: u8) {
+        self.write_bytes(&[byte]);
+    }
+
+    fn put_slice(&mut self, bytes: &[u8]) {
+        self.write_bytes(bytes);
+    }
+}
+
+/// Appends `v` to `out` as a LEB128 varint.
+#[inline]
+pub fn put_u64<S: ByteSink>(out: &mut S, mut v: u64) {
+    while v >= 0x80 {
+        out.put(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.put(v as u8);
+}
+
+/// Reads one LEB128 varint, pulling bytes from `next` (which returns `None`
+/// once the input is exhausted).
+#[inline]
+pub fn read_u64(mut next: impl FnMut() -> Option<u8>) -> Result<u64, TraceError> {
     let mut v: u64 = 0;
     for i in 0..MAX_VARINT_BYTES {
-        let mut byte = [0u8; 1];
-        r.read_exact(&mut byte)
-            .map_err(|_| TraceError::Malformed("truncated varint".to_string()))?;
-        let payload = (byte[0] & 0x7f) as u64;
+        let Some(byte) = next() else {
+            return Err(malformed("truncated varint"));
+        };
+        let payload = (byte & 0x7f) as u64;
         // The 10th byte may only contribute the single remaining bit.
         if i == MAX_VARINT_BYTES - 1 && payload > 1 {
-            return Err(TraceError::Malformed("varint overflows u64".to_string()));
+            return Err(malformed("varint overflows u64"));
         }
         v |= payload << (7 * i);
-        if byte[0] & 0x80 == 0 {
+        if byte & 0x80 == 0 {
             return Ok(v);
         }
     }
-    Err(TraceError::Malformed(
-        "varint longer than 10 bytes".to_string(),
-    ))
+    Err(malformed("varint longer than 10 bytes"))
+}
+
+/// Builds an error off the hot path, so the decode loops stay small enough
+/// to inline.
+#[cold]
+fn malformed(what: &str) -> TraceError {
+    TraceError::Malformed(what.to_string())
 }
 
 /// Maps a signed value to an unsigned one with small magnitudes staying
@@ -63,6 +101,11 @@ pub const fn unzigzag(v: u64) -> i64 {
 mod tests {
     use super::*;
 
+    fn read_all(bytes: &[u8]) -> Result<u64, TraceError> {
+        let mut it = bytes.iter().copied();
+        read_u64(|| it.next())
+    }
+
     #[test]
     fn varint_round_trips_edge_values() {
         for v in [
@@ -77,30 +120,28 @@ mod tests {
             u64::MAX,
         ] {
             let mut buf = Vec::new();
-            let n = write_u64(&mut buf, v).unwrap();
-            assert_eq!(n, buf.len());
-            assert!(n <= MAX_VARINT_BYTES);
-            assert_eq!(read_u64(&mut buf.as_slice()).unwrap(), v, "value {v}");
+            put_u64(&mut buf, v);
+            assert!(buf.len() <= MAX_VARINT_BYTES);
+            assert_eq!(read_all(&buf).unwrap(), v, "value {v}");
         }
     }
 
     #[test]
     fn small_values_encode_in_one_byte() {
         let mut buf = Vec::new();
-        write_u64(&mut buf, 100).unwrap();
+        put_u64(&mut buf, 100);
         assert_eq!(buf.len(), 1);
     }
 
     #[test]
     fn truncated_varint_is_rejected() {
         // Continuation bit set but no following byte.
-        assert!(read_u64(&mut [0x80u8].as_slice()).is_err());
+        assert!(read_all(&[0x80]).is_err());
     }
 
     #[test]
     fn overlong_varint_is_rejected() {
-        let bytes = [0xffu8; 11];
-        assert!(read_u64(&mut bytes.as_slice()).is_err());
+        assert!(read_all(&[0xff; 11]).is_err());
     }
 
     #[test]

@@ -4,6 +4,11 @@ use crate::addr::{WORDS_PER_LINE, WORD_BYTES};
 use crate::error::ConfigError;
 use crate::geometry::TileId;
 
+/// The most tiles a mesh may have. Directory sharer sets hold one bit per
+/// core in a `u64`, so a 65th core would alias core 0 and silently corrupt
+/// coherence; [`SystemConfig::validate`] refuses larger meshes instead.
+pub const MAX_TILES: usize = 64;
+
 /// Cache geometry parameters for the private L1s and the shared L2 slices.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -317,6 +322,12 @@ impl SystemConfig {
         if self.noc.cols < 2 || self.noc.rows < 2 {
             return Err(ConfigError::new("mesh must be at least 2x2"));
         }
+        if !matches!(self.noc.cols.checked_mul(self.noc.rows), Some(t) if t <= MAX_TILES) {
+            return Err(ConfigError::new(format!(
+                "a {}x{} mesh exceeds the {MAX_TILES}-tile limit of the directory's sharer sets",
+                self.noc.cols, self.noc.rows
+            )));
+        }
         if self.noc.link_bytes == 0 || !self.noc.link_bytes.is_multiple_of(WORD_BYTES) {
             return Err(ConfigError::new(
                 "link width must be a multiple of the word size",
@@ -568,6 +579,22 @@ mod tests {
         let mut cfg = SystemConfig::default();
         cfg.noc.vc_buffer_flits = 0;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn meshes_beyond_sixty_four_tiles_are_rejected() {
+        let mesh = |cols, rows| {
+            let mut cfg = SystemConfig::default();
+            cfg.noc.cols = cols;
+            cfg.noc.rows = rows;
+            cfg.validate()
+        };
+        assert!(mesh(8, 8).is_ok());
+        assert!(mesh(2, 32).is_ok());
+        for (cols, rows) in [(16, 8), (9, 8), (2, 33), (usize::MAX, 2)] {
+            let err = mesh(cols, rows).unwrap_err();
+            assert!(err.message().contains("64-tile limit"), "{err}");
+        }
     }
 
     #[test]

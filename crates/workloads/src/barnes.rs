@@ -72,12 +72,20 @@ impl BarnesConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `bodies` is not divisible by `cores`.
+    /// Panics with the message of [`BarnesConfig::try_build`]'s error.
     pub fn build(&self, cores: usize) -> Workload {
-        assert!(
-            cores > 0 && self.bodies.is_multiple_of(cores),
-            "bodies must divide evenly among cores"
-        );
+        self.try_build(cores).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds the workload for `cores` cores, or names why it cannot:
+    /// `bodies` must divide evenly among the cores.
+    pub fn try_build(&self, cores: usize) -> Result<Workload, String> {
+        if cores == 0 || !self.bodies.is_multiple_of(cores) {
+            return Err(format!(
+                "barnes: {} bodies do not divide evenly among {cores} cores",
+                self.bodies
+            ));
+        }
         let nbody = self.bodies as u64;
         let ncell = (nbody / 2).max(1);
 
@@ -173,12 +181,12 @@ impl BarnesConfig {
             traces.push(t.into_ops());
         }
 
-        Workload {
+        Ok(Workload {
             kind: BenchmarkKind::Barnes,
             input: format!("{} bodies", self.bodies),
             regions,
             traces,
-        }
+        })
     }
 }
 

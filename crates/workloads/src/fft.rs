@@ -54,12 +54,20 @@ impl FftConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `points` is not divisible by `cores`.
+    /// Panics with the message of [`FftConfig::try_build`]'s error.
     pub fn build(&self, cores: usize) -> Workload {
-        assert!(
-            cores > 0 && self.points.is_multiple_of(cores),
-            "points must divide evenly among cores"
-        );
+        self.try_build(cores).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds the workload for `cores` cores, or names why it cannot:
+    /// `points` must divide evenly among the cores.
+    pub fn try_build(&self, cores: usize) -> Result<Workload, String> {
+        if cores == 0 || !self.points.is_multiple_of(cores) {
+            return Err(format!(
+                "FFT: {} points do not divide evenly among {cores} cores",
+                self.points
+            ));
+        }
         const POINT_BYTES: u64 = 16;
         let n = self.points as u64;
 
@@ -133,12 +141,12 @@ impl FftConfig {
             traces.push(t.into_ops());
         }
 
-        Workload {
+        Ok(Workload {
             kind: BenchmarkKind::Fft,
             input: format!("{} points", self.points),
             regions,
             traces,
-        }
+        })
     }
 }
 

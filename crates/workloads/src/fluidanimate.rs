@@ -73,8 +73,20 @@ impl FluidanimateConfig {
     }
 
     /// Builds the workload for `cores` cores.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the message of [`FluidanimateConfig::try_build`]'s error.
     pub fn build(&self, cores: usize) -> Workload {
-        assert!(cores > 0);
+        self.try_build(cores).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds the workload for `cores` cores, or names why it cannot:
+    /// there must be at least one core.
+    pub fn try_build(&self, cores: usize) -> Result<Workload, String> {
+        if cores == 0 {
+            return Err("fluidanimate: a workload needs at least one core".to_string());
+        }
         let g = self.grid as u64;
         let ncell = g * g * g;
 
@@ -216,7 +228,7 @@ impl FluidanimateConfig {
             barrier += 1;
         }
 
-        Workload {
+        Ok(Workload {
             kind: BenchmarkKind::Fluidanimate,
             input: format!(
                 "{0}x{0}x{0} grid, ~{1} particles/cell, {2} frame(s)",
@@ -224,7 +236,7 @@ impl FluidanimateConfig {
             ),
             regions,
             traces: builders.into_iter().map(TraceBuilder::into_ops).collect(),
-        }
+        })
     }
 }
 

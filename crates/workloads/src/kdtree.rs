@@ -73,12 +73,20 @@ impl KdTreeConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `triangles` is not divisible by `cores`.
+    /// Panics with the message of [`KdTreeConfig::try_build`]'s error.
     pub fn build(&self, cores: usize) -> Workload {
-        assert!(
-            cores > 0 && self.triangles.is_multiple_of(cores),
-            "triangles must divide evenly among cores"
-        );
+        self.try_build(cores).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds the workload for `cores` cores, or names why it cannot:
+    /// `triangles` must divide evenly among the cores.
+    pub fn try_build(&self, cores: usize) -> Result<Workload, String> {
+        if cores == 0 || !self.triangles.is_multiple_of(cores) {
+            return Err(format!(
+                "kD-tree: {} triangles do not divide evenly among {cores} cores",
+                self.triangles
+            ));
+        }
         let n = self.triangles as u64;
 
         let triangles = ArrayLayout::new(0x1000_0000, TRIANGLE_BYTES, n, RegionId(1));
@@ -157,12 +165,12 @@ impl KdTreeConfig {
             traces.push(t.into_ops());
         }
 
-        Workload {
+        Ok(Workload {
             kind: BenchmarkKind::KdTree,
             input: format!("{} triangles, {} levels", self.triangles, self.levels),
             regions,
             traces,
-        }
+        })
     }
 }
 

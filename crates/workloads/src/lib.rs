@@ -58,19 +58,20 @@ fn no_generator(kind: BenchmarkKind) -> String {
 /// Builds the default (scaled) workload for a benchmark with `cores` cores.
 ///
 /// The trace-only kinds ([`BenchmarkKind::Custom`],
-/// [`BenchmarkKind::Synthesized`]) have no generator here and are reported as
-/// an error rather than a panic, so callers resolving a kind from user input
-/// can surface a diagnosable message.
+/// [`BenchmarkKind::Synthesized`]) have no generator here, and a core count
+/// the generator's input cannot be split over is refused; both are reported
+/// as an error rather than a panic, so callers resolving a kind or a mesh
+/// from user input can surface a diagnosable message.
 pub fn build_scaled(kind: BenchmarkKind, cores: usize) -> Result<Workload, String> {
-    Ok(match kind {
-        BenchmarkKind::Fluidanimate => fluidanimate::FluidanimateConfig::scaled().build(cores),
-        BenchmarkKind::Lu => lu::LuConfig::scaled().build(cores),
-        BenchmarkKind::Fft => fft::FftConfig::scaled().build(cores),
-        BenchmarkKind::Radix => radix::RadixConfig::scaled().build(cores),
-        BenchmarkKind::Barnes => barnes::BarnesConfig::scaled().build(cores),
-        BenchmarkKind::KdTree => kdtree::KdTreeConfig::scaled().build(cores),
-        BenchmarkKind::Custom | BenchmarkKind::Synthesized => return Err(no_generator(kind)),
-    })
+    match kind {
+        BenchmarkKind::Fluidanimate => fluidanimate::FluidanimateConfig::scaled().try_build(cores),
+        BenchmarkKind::Lu => lu::LuConfig::scaled().try_build(cores),
+        BenchmarkKind::Fft => fft::FftConfig::scaled().try_build(cores),
+        BenchmarkKind::Radix => radix::RadixConfig::scaled().try_build(cores),
+        BenchmarkKind::Barnes => barnes::BarnesConfig::scaled().try_build(cores),
+        BenchmarkKind::KdTree => kdtree::KdTreeConfig::scaled().try_build(cores),
+        BenchmarkKind::Custom | BenchmarkKind::Synthesized => Err(no_generator(kind)),
+    }
 }
 
 /// Builds a miniature workload for a benchmark, suitable for unit tests and
@@ -80,15 +81,15 @@ pub fn build_scaled(kind: BenchmarkKind, cores: usize) -> Result<Workload, Strin
 /// [`BenchmarkKind::Synthesized`]) have no generator here and are reported as
 /// an error rather than a panic (see [`build_scaled`]).
 pub fn build_tiny(kind: BenchmarkKind, cores: usize) -> Result<Workload, String> {
-    Ok(match kind {
-        BenchmarkKind::Fluidanimate => fluidanimate::FluidanimateConfig::tiny().build(cores),
-        BenchmarkKind::Lu => lu::LuConfig::tiny().build(cores),
-        BenchmarkKind::Fft => fft::FftConfig::tiny().build(cores),
-        BenchmarkKind::Radix => radix::RadixConfig::tiny().build(cores),
-        BenchmarkKind::Barnes => barnes::BarnesConfig::tiny().build(cores),
-        BenchmarkKind::KdTree => kdtree::KdTreeConfig::tiny().build(cores),
-        BenchmarkKind::Custom | BenchmarkKind::Synthesized => return Err(no_generator(kind)),
-    })
+    match kind {
+        BenchmarkKind::Fluidanimate => fluidanimate::FluidanimateConfig::tiny().try_build(cores),
+        BenchmarkKind::Lu => lu::LuConfig::tiny().try_build(cores),
+        BenchmarkKind::Fft => fft::FftConfig::tiny().try_build(cores),
+        BenchmarkKind::Radix => radix::RadixConfig::tiny().try_build(cores),
+        BenchmarkKind::Barnes => barnes::BarnesConfig::tiny().try_build(cores),
+        BenchmarkKind::KdTree => kdtree::KdTreeConfig::tiny().try_build(cores),
+        BenchmarkKind::Custom | BenchmarkKind::Synthesized => Err(no_generator(kind)),
+    }
 }
 
 #[cfg(test)]
@@ -105,5 +106,29 @@ mod tests {
         for kind in BenchmarkKind::ALL {
             assert!(build_tiny(kind, 16).is_ok(), "{kind} must generate");
         }
+    }
+
+    #[test]
+    fn every_core_count_a_mesh_can_have_builds_or_is_named() {
+        // Meshes run from 2x2 to 64 tiles; a generator either builds a
+        // well-formed workload for the core count or says why not, never
+        // panics (an FFT on a 9x8 mesh once aborted `plan run`).
+        for kind in BenchmarkKind::ALL {
+            for cores in [0, 1, 4, 6, 9, 12, 16, 24, 25, 32, 36, 48, 49, 56, 64, 72] {
+                match build_tiny(kind, cores) {
+                    Ok(wl) => {
+                        assert_eq!(wl.cores(), cores, "{kind}");
+                        wl.try_well_formed()
+                            .unwrap_or_else(|e| panic!("{kind} x {cores}: {e}"));
+                    }
+                    Err(e) => assert!(
+                        e.starts_with(kind.name()) && e.contains("core"),
+                        "{kind} x {cores}: {e}"
+                    ),
+                }
+            }
+        }
+        let err = build_scaled(BenchmarkKind::Fft, 72).unwrap_err();
+        assert_eq!(err, "FFT: 32768 points do not divide evenly among 72 cores");
     }
 }

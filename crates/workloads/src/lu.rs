@@ -60,12 +60,23 @@ impl LuConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the matrix is not an integer number of blocks.
+    /// Panics with the message of [`LuConfig::try_build`]'s error.
     pub fn build(&self, cores: usize) -> Workload {
-        assert!(
-            self.n.is_multiple_of(self.block),
-            "matrix must be a whole number of blocks"
-        );
+        self.try_build(cores).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds the workload for `cores` cores, or names why it cannot:
+    /// the matrix must be a whole number of blocks, and there must be at least one core.
+    pub fn try_build(&self, cores: usize) -> Result<Workload, String> {
+        if cores == 0 {
+            return Err("LU: a workload needs at least one core".to_string());
+        }
+        if self.block == 0 || !self.n.is_multiple_of(self.block) {
+            return Err(format!(
+                "LU: the matrix must be a whole number of blocks ({0}x{0} in {1}x{1} blocks)",
+                self.n, self.block
+            ));
+        }
         const ELEM_BYTES: u64 = 8; // double precision
         let nb = (self.n / self.block) as u64; // blocks per dimension
         let block_elems = (self.block * self.block) as u64;
@@ -174,7 +185,7 @@ impl LuConfig {
             barrier += 1;
         }
 
-        Workload {
+        Ok(Workload {
             kind: BenchmarkKind::Lu,
             input: format!(
                 "{}x{} matrix, {}x{} blocks",
@@ -182,7 +193,7 @@ impl LuConfig {
             ),
             regions,
             traces: builders.into_iter().map(TraceBuilder::into_ops).collect(),
-        }
+        })
     }
 }
 

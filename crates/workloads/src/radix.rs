@@ -62,12 +62,20 @@ impl RadixConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `keys` is not divisible by `cores`.
+    /// Panics with the message of [`RadixConfig::try_build`]'s error.
     pub fn build(&self, cores: usize) -> Workload {
-        assert!(
-            cores > 0 && self.keys.is_multiple_of(cores),
-            "keys must divide evenly among cores"
-        );
+        self.try_build(cores).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds the workload for `cores` cores, or names why it cannot:
+    /// `keys` must divide evenly among the cores.
+    pub fn try_build(&self, cores: usize) -> Result<Workload, String> {
+        if cores == 0 || !self.keys.is_multiple_of(cores) {
+            return Err(format!(
+                "radix: {} keys do not divide evenly among {cores} cores",
+                self.keys
+            ));
+        }
         const KEY_BYTES: u64 = 4;
         let n = self.keys as u64;
 
@@ -169,12 +177,12 @@ impl RadixConfig {
             traces.push(t.into_ops());
         }
 
-        Workload {
+        Ok(Workload {
             kind: BenchmarkKind::Radix,
             input: format!("{} keys, {} radix", self.keys, self.radix),
             regions,
             traces,
-        }
+        })
     }
 }
 

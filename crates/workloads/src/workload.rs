@@ -2,7 +2,7 @@
 
 use std::fmt;
 use tw_trace::{TraceDocument, TraceError};
-use tw_types::{RegionTable, TraceOp};
+use tw_types::{RegionInfo, RegionTable, TraceOp};
 
 /// The six applications evaluated in the paper (Table 4.2), plus the
 /// catch-all kind for externally captured or hand-written traces.
@@ -148,32 +148,43 @@ impl Workload {
     /// this before simulating, so a malformed trace is a diagnosable error
     /// rather than a simulator deadlock.
     pub fn try_well_formed(&self) -> Result<(), String> {
-        if self.traces.is_empty() {
+        let Some(first) = self.traces.first() else {
             return Err("workload has no cores".to_string());
-        }
-        let barrier_seq = |t: &Vec<TraceOp>| {
-            t.iter()
-                .filter_map(|op| match op {
-                    TraceOp::Barrier { id } => Some(*id),
-                    _ => None,
-                })
-                .collect::<Vec<_>>()
         };
-        let reference = barrier_seq(&self.traces[0]);
+        // One pass over each core's ops after collecting core 0's barrier
+        // ids: barriers are matched against that sequence as they go by, and
+        // the region of the previous access is tried before the table scan,
+        // since consecutive accesses mostly share a region.
+        let reference: Vec<u32> = first
+            .iter()
+            .filter_map(|op| match op {
+                TraceOp::Barrier { id } => Some(*id),
+                _ => None,
+            })
+            .collect();
+        let mut last_region = None;
         for (i, t) in self.traces.iter().enumerate() {
-            if barrier_seq(t) != reference {
-                return Err(format!("core {i} disagrees on the barrier sequence"));
-            }
-        }
-        for t in &self.traces {
+            let disagrees = || format!("core {i} disagrees on the barrier sequence");
+            let mut barriers = reference.iter();
             for op in t {
-                if let Some(addr) = op.addr() {
-                    if self.regions.region_of(addr).is_none() {
-                        return Err(format!(
-                            "access to {addr} falls outside every declared region"
-                        ));
+                match *op {
+                    TraceOp::Barrier { id } => {
+                        if barriers.next() != Some(&id) {
+                            return Err(disagrees());
+                        }
                     }
+                    TraceOp::Mem { addr, .. } => {
+                        if !last_region.is_some_and(|r: &RegionInfo| r.contains(addr)) {
+                            last_region = Some(self.regions.region_of(addr).ok_or_else(|| {
+                                format!("access to {addr} falls outside every declared region")
+                            })?);
+                        }
+                    }
+                    TraceOp::Compute { .. } => {}
                 }
+            }
+            if barriers.next().is_some() {
+                return Err(disagrees());
             }
         }
         Ok(())
@@ -198,24 +209,14 @@ impl Workload {
     /// have identical streams, regions and metadata, so every simulation
     /// result derived from them is interchangeable.
     pub fn content_digest(&self) -> Result<tw_types::Digest, TraceError> {
-        // Stream the encoder straight into the digester instead of going
-        // through `to_trace()`, which would clone every per-core stream.
-        let mut sink = tw_types::DigestWriter::new();
-        let mut writer = tw_trace::TraceWriter::new(
-            &mut sink,
+        // Digest the parts directly instead of going through `to_trace()`,
+        // which would clone every per-core stream.
+        Ok(tw_trace::digest_encoding(
             self.kind.name(),
             &self.input,
-            self.cores(),
             &self.regions,
-        )?;
-        for stream in &self.traces {
-            for op in stream {
-                writer.op(op)?;
-            }
-            writer.end_stream()?;
-        }
-        writer.finish()?;
-        Ok(sink.finish())
+            &self.traces,
+        ))
     }
 
     /// Exports this workload as a persistable [`TraceDocument`].
